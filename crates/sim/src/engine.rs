@@ -6,10 +6,18 @@
 //! direct messages — through a mutable [`SimCtx`] that lets them schedule
 //! future events and transmit packets.
 //!
-//! Determinism: the event heap orders by `(time, insertion sequence)`, so
-//! simultaneous events fire in the order they were scheduled, and all
+//! Determinism: the event heap orders by `(time, phase, ord, seq)` (see
+//! the `eventq` module), so simultaneous events fire in a fixed order, and all
 //! randomness comes from per-link RNG streams derived from the simulation
 //! seed (see [`crate::rng::derive_rng`]).
+//!
+//! Packets propagating over a link wait in that link's *pipe*, not in the
+//! heap: the pipe keeps them sorted by the arrival key each got when it
+//! departed, and the heap holds one entry per non-empty pipe, keyed by the
+//! pipe's head. Delivering the head re-keys that entry to the next packet
+//! in place. Every packet keeps its departure `seq` and a link's tie-break
+//! `ord` is constant, so the pop order is exactly the order the heap would
+//! give with one entry per packet, under every tie-break policy.
 
 use crate::eventq::{CancelToken, EventQueue, Phase};
 use crate::link::{Bandwidth, Jitter, LinkId, LinkParams, LinkStats, LossModel};
@@ -20,6 +28,7 @@ use marnet_telemetry::{
 };
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of an actor within a [`Simulator`].
@@ -79,10 +88,47 @@ pub trait Actor {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event);
 }
 
+/// An actor event as it waits in the queue: [`Event`] without the packet
+/// variant (packets wait in their link's pipe), which keeps every slab slot
+/// of the event queue small. The [`Event`] is built at dispatch.
+enum Queued {
+    Start,
+    Timer { tag: u64 },
+    Message { from: ActorId, msg: Payload },
+}
+
+impl Queued {
+    #[inline]
+    fn into_event(self) -> Event {
+        match self {
+            Queued::Start => Event::Start,
+            Queued::Timer { tag } => Event::Timer { tag },
+            Queued::Message { from, msg } => Event::Message { from, msg },
+        }
+    }
+}
+
 enum Dest {
-    Actor { id: ActorId, event: Event },
-    LinkDeparture { link: LinkId },
-    LinkArrival { link: LinkId, packet: Packet },
+    Actor {
+        id: ActorId,
+        ev: Queued,
+    },
+    LinkDeparture {
+        link: LinkId,
+    },
+    /// The head of `link`'s pipe is due.
+    Pipe {
+        link: LinkId,
+    },
+}
+
+/// A departed packet propagating towards the link's receiver, with the
+/// queue key it got at departure.
+struct Propagating {
+    time: SimTime,
+    phase: Phase,
+    seq: u64,
+    packet: Packet,
 }
 
 struct LinkRuntime {
@@ -98,6 +144,10 @@ struct LinkRuntime {
     up: bool,
     ge_bad: bool,
     in_flight: Option<Packet>,
+    /// Departed packets still propagating, sorted by `(time, phase, seq)`.
+    pipe: VecDeque<Propagating>,
+    /// Token of the pipe's heap entry while the pipe is non-empty.
+    armed: Option<CancelToken>,
     stats: LinkStats,
     rng: ChaCha12Rng,
 }
@@ -163,6 +213,10 @@ pub struct SimCtx {
     src: u64,
     stopped: bool,
     events_processed: u64,
+    /// Packets parked in all pipes.
+    propagating: usize,
+    /// Non-empty pipes, i.e. pipe-head entries in the queue.
+    armed_pipes: usize,
     trace: TraceSink,
     link_gauges: Option<Vec<LinkGauges>>,
 }
@@ -171,7 +225,7 @@ impl fmt::Debug for SimCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimCtx")
             .field("now", &self.now)
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &self.pending_events())
             .field("links", &self.links.len())
             .finish()
     }
@@ -213,15 +267,38 @@ impl SimCtx {
         self.stopped = true;
     }
 
-    /// Pending events in the queue (diagnostics).
+    /// Pending events (diagnostics): queued events plus packets still
+    /// propagating in link pipes, each counted once.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() - self.armed_pipes + self.propagating
     }
 
     /// Pending cancellable timers (diagnostics). With true removal this is
     /// live timers only — cancelled timers leave no residue.
     pub fn pending_timers(&self) -> usize {
-        self.queue.cancellable_len()
+        self.queue.cancellable_len() - self.armed_pipes
+    }
+
+    /// The phase of work due at `time` that is not a link departure.
+    /// Everything but departures splits by causal age: work committed to a
+    /// future instant (`Carry`) outranks work spawned within that instant
+    /// (`Spawn`), so e.g. a periodic timer colliding with a same-instant
+    /// message never decides this-tick-vs-next-tick by schedule accident.
+    /// Phases outrank the tie-break policy; see `eventq`.
+    #[inline]
+    fn causal_phase(&self, time: SimTime) -> Phase {
+        if time > self.now {
+            Phase::Carry
+        } else {
+            Phase::Spawn
+        }
+    }
+
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     fn push(&mut self, time: SimTime, dest: Dest) {
@@ -229,23 +306,11 @@ impl SimCtx {
         // freed at `t` is visible to every arrival at `t` under any
         // equal-timestamp order — without it, a departure/arrival tie at a
         // full drop-tail queue decides admit-vs-drop by schedule accident.
-        // Everything else splits by causal age: work committed to a future
-        // instant (`Carry`) outranks work spawned within that instant
-        // (`Spawn`), so e.g. a periodic timer colliding with a same-instant
-        // message never decides this-tick-vs-next-tick by schedule
-        // accident. Phases outrank the tie-break policy; see `eventq`.
         let phase = match dest {
             Dest::LinkDeparture { .. } => Phase::Drain,
-            Dest::Actor { .. } | Dest::LinkArrival { .. } => {
-                if time > self.now {
-                    Phase::Carry
-                } else {
-                    Phase::Spawn
-                }
-            }
+            Dest::Actor { .. } | Dest::Pipe { .. } => self.causal_phase(time),
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.queue.push(time, seq, self.src, phase, dest);
     }
 
@@ -263,17 +328,16 @@ impl SimCtx {
         tag: u64,
     ) -> TimerHandle {
         let t = self.now.saturating_add(delay);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         // A timer for a future instant is that instant's `Carry` work; a
         // zero-delay timer fires within the current instant, i.e. `Spawn`.
-        let phase = if t > self.now { Phase::Carry } else { Phase::Spawn };
+        let phase = self.causal_phase(t);
         let token = self.queue.push_cancellable(
             t,
             seq,
             self.src,
             phase,
-            Dest::Actor { id: target, event: Event::Timer { tag } },
+            Dest::Actor { id: target, ev: Queued::Timer { tag } },
         );
         TimerHandle(token)
     }
@@ -289,7 +353,7 @@ impl SimCtx {
     /// (after all already-scheduled events for this instant).
     pub fn send_message(&mut self, target: ActorId, msg: Payload) {
         let from = self.current_actor;
-        self.push(self.now, Dest::Actor { id: target, event: Event::Message { from, msg } });
+        self.push(self.now, Dest::Actor { id: target, ev: Queued::Message { from, msg } });
     }
 
     /// Delivers a direct [`Event::Message`] after `delay` (e.g. modelling
@@ -297,7 +361,7 @@ impl SimCtx {
     pub fn send_message_in(&mut self, target: ActorId, delay: SimDuration, msg: Payload) {
         let from = self.current_actor;
         let t = self.now.saturating_add(delay);
-        self.push(t, Dest::Actor { id: target, event: Event::Message { from, msg } });
+        self.push(t, Dest::Actor { id: target, ev: Queued::Message { from, msg } });
     }
 
     /// Offers a packet to a link for transmission.
@@ -450,10 +514,64 @@ impl SimCtx {
                     SimDuration::from_nanos(nanos)
                 }
             };
-            let arrival = now.saturating_add(l.delay + jitter);
-            self.push(arrival, Dest::LinkArrival { link, packet: pkt });
+            let time = now.saturating_add(l.delay + jitter);
+            let phase = self.causal_phase(time);
+            let seq = self.take_seq();
+            self.park(link, Propagating { time, phase, seq, packet: pkt });
         }
         self.start_tx(link);
+    }
+
+    /// Puts a departed packet into its link's pipe, in key order. Only a
+    /// new head touches the event queue: an empty pipe arms one entry; a
+    /// packet overtaking the head (jitter, or a delay cut by
+    /// [`SimCtx::set_link_delay`]) re-arms it under the new key.
+    fn park(&mut self, link: LinkId, p: Propagating) {
+        let (time, phase, seq) = (p.time, p.phase, p.seq);
+        let l = link_rt_mut(&mut self.links, link);
+        // `seq` is the newest, so the packet goes after every key with an
+        // earlier-or-equal `(time, phase)`: the back, unless it overtakes.
+        let at = match l.pipe.back() {
+            Some(last) if (last.time, last.phase) > (time, phase) => {
+                l.pipe.partition_point(|q| (q.time, q.phase) <= (time, phase))
+            }
+            _ => l.pipe.len(),
+        };
+        l.pipe.insert(at, p);
+        self.propagating += 1;
+        if at > 0 {
+            return;
+        }
+        if let Some(stale) = l.armed.take() {
+            self.queue.cancel(stale);
+        } else {
+            self.armed_pipes += 1;
+        }
+        // Every packet on a link is scheduled by the link itself, so the
+        // entry's tie-break `ord` is the link's whichever packet heads it.
+        let src = link_src_key(link.index());
+        l.armed = Some(self.queue.push_cancellable(time, seq, src, phase, Dest::Pipe { link }));
+    }
+
+    /// Takes the head of `link`'s pipe, whose entry is the queue's root,
+    /// and re-keys that entry to the next packet (or pops it if the pipe
+    /// is now empty). Returns the receiving actor and the packet.
+    fn unpark(&mut self, link: LinkId) -> (ActorId, Packet) {
+        let l = link_rt_mut(&mut self.links, link);
+        // marnet-lint: allow(panic-path): a pipe entry is queued only while its pipe is non-empty
+        let head = l.pipe.pop_front().expect("pipe entry for an empty pipe");
+        match l.pipe.front() {
+            Some(next) => l.armed = self.queue.rekey_root(next.time, next.phase, next.seq),
+            None => {
+                self.queue.pop_root();
+                l.armed = None;
+                self.armed_pipes -= 1;
+            }
+        }
+        self.propagating -= 1;
+        l.stats.delivered_packets += 1;
+        l.stats.delivered_bytes += u64::from(head.packet.size);
+        (l.dst, head.packet)
     }
 
     /// Current rate of a link.
@@ -517,8 +635,9 @@ impl SimCtx {
     }
 
     /// Changes a link's one-way propagation delay on the fly. Packets
-    /// already in flight keep the delay they departed with; the fault layer
-    /// uses this for latency-spike episodes.
+    /// already in flight keep the delay they departed with, so after a cut
+    /// a later packet may overtake them; the fault layer uses this for
+    /// latency-spike episodes.
     pub fn set_link_delay(&mut self, link: LinkId, delay: SimDuration) {
         link_rt_mut(&mut self.links, link).delay = delay;
     }
@@ -617,6 +736,8 @@ impl Simulator {
                 src: SRC_SETUP,
                 stopped: false,
                 events_processed: 0,
+                propagating: 0,
+                armed_pipes: 0,
                 trace: TraceSink::Off,
                 link_gauges: None,
             },
@@ -679,6 +800,8 @@ impl Simulator {
             up: params.up,
             ge_bad: false,
             in_flight: None,
+            pipe: VecDeque::new(),
+            armed: None,
             stats: LinkStats::default(),
             rng,
         });
@@ -702,7 +825,7 @@ impl Simulator {
             if !*started && actor.is_some() {
                 *started = true;
                 let id = ActorId(i as u32);
-                self.ctx.push(self.ctx.now, Dest::Actor { id, event: Event::Start });
+                self.ctx.push(self.ctx.now, Dest::Actor { id, ev: Queued::Start });
             }
         }
     }
@@ -733,58 +856,31 @@ impl Simulator {
         self.ctx.stopped = false;
         let mut processed = 0;
         while processed < self.event_limit && !self.ctx.stopped {
-            let Some((time, _seq, dest)) = self.ctx.queue.pop_at_most(end) else {
+            let Some((time, root)) = self.ctx.queue.peek_at_most(end) else {
                 break;
+            };
+            let pipe = match *root {
+                Dest::Pipe { link } => Some(link),
+                Dest::Actor { .. } | Dest::LinkDeparture { .. } => None,
             };
             self.ctx.now = time;
             self.ctx.events_processed += 1;
             processed += 1;
-            match dest {
-                Dest::Actor { id, event } => self.dispatch_to_actor(id, event),
-                Dest::LinkDeparture { link } => self.ctx.handle_departure(link),
-                Dest::LinkArrival { link, packet } => {
-                    // Coalesce back-to-back deliveries on the same link: the
-                    // destination and component id are loop-invariant, and a
-                    // bulk sender keeps the heap root parked on this link, so
-                    // draining it here skips the outer-loop re-dispatch per
-                    // packet. Per-packet stats, trace order and `now`
-                    // advancement are identical to the uncoalesced loop.
-                    let (dst, comp) = {
-                        let l = link_rt(&self.ctx.links, link);
-                        (l.dst, component::link(link.index()))
-                    };
-                    let mut time = time;
-                    let mut packet = packet;
-                    loop {
-                        {
-                            let l = link_rt_mut(&mut self.ctx.links, link);
-                            l.stats.delivered_packets += 1;
-                            l.stats.delivered_bytes += u64::from(packet.size);
-                        }
-                        let (pid, pflow, psize) = (packet.id, packet.flow, packet.size);
-                        self.ctx.trace.emit_with(|| {
-                            TraceEvent::packet_deliver(time.as_nanos(), comp, pid, pflow, psize)
-                        });
-                        self.dispatch_to_actor(dst, Event::Packet { link, packet });
-                        if processed >= self.event_limit || self.ctx.stopped {
-                            break;
-                        }
-                        let next = self.ctx.queue.pop_at_most_if(
-                            end,
-                            |_, d| matches!(d, Dest::LinkArrival { link: l2, .. } if *l2 == link),
-                        );
-                        match next {
-                            Some((t2, _seq, Dest::LinkArrival { packet: p2, .. })) => {
-                                self.ctx.now = t2;
-                                self.ctx.events_processed += 1;
-                                processed += 1;
-                                time = t2;
-                                packet = p2;
-                            }
-                            _ => break,
-                        }
-                    }
-                }
+            if let Some(link) = pipe {
+                let (dst, packet) = self.ctx.unpark(link);
+                let (pid, pflow, psize) = (packet.id, packet.flow, packet.size);
+                let comp = component::link(link.index());
+                self.ctx.trace.emit_with(|| {
+                    TraceEvent::packet_deliver(time.as_nanos(), comp, pid, pflow, psize)
+                });
+                self.dispatch_to_actor(dst, Event::Packet { link, packet });
+                continue;
+            }
+            match self.ctx.queue.pop_root() {
+                Some((_, _, Dest::Actor { id, ev })) => self.dispatch_to_actor(id, ev.into_event()),
+                Some((_, _, Dest::LinkDeparture { link })) => self.ctx.handle_departure(link),
+                // The root was peeked above and is not a pipe entry.
+                Some((_, _, Dest::Pipe { .. })) | None => {}
             }
         }
         // Advance the clock to the horizon so stats over `end` are meaningful.
@@ -1257,6 +1353,56 @@ mod tests {
         sim.add_actor(Stopper);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.now(), SimTime::from_millis(1));
+    }
+
+    #[test]
+    fn pending_events_counts_packets_in_pipes() {
+        // Timer-free and echo-free: two bursts cross on a jittery link pair.
+        // Once every packet has departed, the pending count is exactly the
+        // deliveries still to come — packets in flight included — and none
+        // of it is a timer.
+        struct Burst {
+            link: LinkId,
+        }
+        impl Actor for Burst {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                if matches!(ev, Event::Start) {
+                    for _ in 0..200 {
+                        let id = ctx.next_packet_id();
+                        ctx.transmit(self.link, Packet::new(id, 0, 1250, ctx.now()));
+                    }
+                }
+            }
+        }
+        let mut sim = Simulator::new(3);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        // 200 x 100 us of serialization, then 20-25 ms of propagation.
+        let params = LinkParams::new(Bandwidth::from_mbps(100.0), SimDuration::from_millis(20))
+            .with_jitter(Jitter::Uniform { max: SimDuration::from_millis(5) })
+            .with_queue(QueueConfigLarge());
+        let ab = sim.add_link(a, b, params.clone());
+        let ba = sim.add_link(b, a, params);
+        sim.install_actor(a, Burst { link: ab });
+        sim.install_actor(b, Burst { link: ba });
+        sim.run_until(SimTime::from_millis(25));
+        let pending = sim.ctx().pending_events();
+        let delivered = |sim: &Simulator| {
+            sim.ctx().link_stats(ab).delivered_packets + sim.ctx().link_stats(ba).delivered_packets
+        };
+        assert!(delivered(&sim) > 0 && pending > 100, "mid-flight: {pending} pending");
+        assert_eq!(pending as u64, 400 - delivered(&sim));
+        assert_eq!(sim.ctx().pending_timers(), 0, "pipe heads are not timers");
+        assert!(format!("{:?}", sim.ctx()).contains(&format!("pending_events: {pending}")));
+        assert_eq!(sim.run_to_completion(), pending as u64);
+        assert_eq!(sim.ctx().pending_events(), 0);
+        assert_eq!(delivered(&sim), 400);
+    }
+
+    #[test]
+    fn queued_events_stay_compact() {
+        // No queued event carries a packet: a slab slot is a few words.
+        assert!(std::mem::size_of::<Dest>() <= 32, "{}", std::mem::size_of::<Dest>());
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! The engine's event queue: an indexed 4-ary min-heap with true removal.
 //!
-//! The run loop pops the earliest `(time, phase, ord, seq)` entry; cancellation (timers
-//! only) removes the entry from the heap immediately in O(log n) instead of
+//! The run loop pops the earliest `(time, phase, ord, seq)` entry; cancellation
+//! removes the entry from the heap immediately in O(log n) instead of
 //! leaving a tombstone behind. This keeps cancel-heavy runs flat in memory —
 //! a retransmission timer that is armed and disarmed per packet never
 //! outlives its cancellation — and removes the per-pop tombstone lookup the
 //! previous `BinaryHeap + HashSet` scheme paid on *every* event.
 //!
-//! The heap itself orders only 32-byte `(time, ord, seq, slot)` keys; event
-//! payloads are parked in a pooled slot slab and never move during sifts.
-//! With payloads the size of a `Packet` plus its `Event` wrapper, sifting
-//! keys instead of nodes is the difference between one cache line per level
-//! and several. Slab slots are recycled through a free list, so steady-state
-//! scheduling allocates nothing.
+//! The heap itself orders only 32-byte `(time, phase, ord, seq)` + slot
+//! entries; event payloads are parked in a pooled slot slab and never move
+//! during sifts, so a sift touches one cache line per level. Slab slots are
+//! recycled through a free list, so steady-state scheduling allocates
+//! nothing. The engine queues no packets: a packet propagating over a link
+//! waits in that link's pipe (see `crate::engine`), and the queue holds one
+//! entry per non-empty pipe. That keeps a queued payload to a few words, and
+//! the heap's size independent of how many packets are in flight.
+//!
+//! The run loop peeks the root ([`EventQueue::peek_at_most`]) before taking
+//! it. A pipe's entry is never popped while its pipe has packets left:
+//! [`EventQueue::rekey_root`] gives it the next packet's key in place, one
+//! sift-down where a pop and a push would take two.
 //!
 //! Ordering is by `(time, phase, ord, seq)`. The [`Phase`] is intra-instant
 //! *semantics*, not a tie — it encodes two orderings every schedule must
@@ -45,9 +52,11 @@
 //! program order through the trailing raw `seq`, which also keeps the
 //! order total.
 //!
-//! Every entry owns a slab slot; cancellable entries additionally hand out a
-//! [`CancelToken`] carrying `(slot, seq)`. The globally unique `seq` guards
-//! against slot reuse, so cancelling an already-fired timer is a cheap no-op.
+//! Every entry owns a slab slot; cancellable entries (timers, and pipe heads,
+//! which the engine re-arms when a packet overtakes the head) additionally
+//! hand out a [`CancelToken`] carrying `(slot, seq)`. The globally unique
+//! `seq` guards against slot reuse, so cancelling an already-fired timer is
+//! a cheap no-op; re-keying an entry re-issues its token.
 
 use crate::config::TieBreak;
 use crate::time::SimTime;
@@ -170,7 +179,7 @@ impl<T> EventQueue<T> {
         self.heap.is_empty()
     }
 
-    /// Pending cancellable timers (diagnostics; not a tombstone count).
+    /// Pending cancellable entries (diagnostics; not a tombstone count).
     pub(crate) fn cancellable_len(&self) -> usize {
         self.n_cancellable
     }
@@ -183,8 +192,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Inserts a cancellable entry and returns its token. Cancellable
-    /// entries are timers; the caller supplies the phase ([`Phase::Carry`]
-    /// for a future instant, [`Phase::Spawn`] for a zero-delay timer).
+    /// entries are timers and pipe heads; the caller supplies the phase
+    /// ([`Phase::Carry`] for a future instant, [`Phase::Spawn`] for the
+    /// current one).
     pub(crate) fn push_cancellable(
         &mut self,
         time: SimTime,
@@ -227,9 +237,21 @@ impl<T> EventQueue<T> {
         slot
     }
 
+    /// The earliest entry, left in place, if its time is `<= end`. The run
+    /// loop peeks first so a pipe-head entry can be re-keyed in place
+    /// instead of popped and re-pushed.
+    #[inline]
+    pub(crate) fn peek_at_most(&self, end: SimTime) -> Option<(SimTime, &T)> {
+        let first = self.heap.first()?;
+        if first.time > end {
+            return None;
+        }
+        // marnet-lint: allow(panic-path): a heap entry's slab index is live by the insert/remove invariant
+        Some((first.time, self.slots[first.slab()].item.as_ref()?))
+    }
+
     /// Removes the earliest entry.
-    #[cfg(test)]
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    pub(crate) fn pop_root(&mut self) -> Option<(SimTime, u64, T)> {
         if self.heap.is_empty() {
             return None;
         }
@@ -237,37 +259,26 @@ impl<T> EventQueue<T> {
         Some((entry.time, entry.seq, item))
     }
 
-    /// Removes the earliest entry if its time is `<= end` — the run loop's
-    /// fused peek-and-pop.
-    pub(crate) fn pop_at_most(&mut self, end: SimTime) -> Option<(SimTime, u64, T)> {
-        if self.heap.first()?.time > end {
-            return None;
-        }
-        let (entry, item) = self.remove_at(0);
-        Some((entry.time, entry.seq, item))
-    }
-
-    /// Removes the earliest entry if its time is `<= end` *and* `pred`
-    /// accepts it. The run loop uses this to coalesce back-to-back
-    /// deliveries on one link: the root is inspected in place, so a
-    /// declined peek costs a comparison and no heap movement.
-    pub(crate) fn pop_at_most_if(
+    /// Gives the earliest entry a new `(time, phase, seq)` key in place and
+    /// sifts it down: one O(log n) pass where a pop and a push would take
+    /// two. The entry keeps its payload, slab slot and tie-break `ord`. A
+    /// cancellable entry's old token goes stale; the returned token is its
+    /// new one. `None` if the queue is empty.
+    pub(crate) fn rekey_root(
         &mut self,
-        end: SimTime,
-        pred: impl FnOnce(SimTime, &T) -> bool,
-    ) -> Option<(SimTime, u64, T)> {
-        let first = self.heap.first()?;
-        if first.time > end {
-            return None;
-        }
-        let time = first.time;
+        time: SimTime,
+        phase: Phase,
+        seq: u64,
+    ) -> Option<CancelToken> {
+        let root = self.heap.first_mut()?;
+        root.time = time;
+        root.phase = phase;
+        root.seq = seq;
+        let slab = root.slab();
         // marnet-lint: allow(panic-path): a heap entry's slab index is live by the insert/remove invariant
-        let root = self.slots[first.slab()].item.as_ref()?;
-        if !pred(time, root) {
-            return None;
-        }
-        let (entry, item) = self.remove_at(0);
-        Some((entry.time, entry.seq, item))
+        self.slots[slab].seq = seq;
+        self.sift_down(0);
+        Some(CancelToken { slot: slab as u32, seq })
     }
 
     /// Removes the entry behind `token` if it is still pending. Returns
@@ -402,7 +413,7 @@ mod tests {
         q.push(t(10), 1, 1, Phase::Spawn, "b");
         q.push(t(10), 2, 2, Phase::Spawn, "c");
         q.push(t(20), 3, 3, Phase::Spawn, "d");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop_root().map(|(_, _, v)| v)).collect();
         assert_eq!(order, ["b", "c", "d", "a"]);
     }
 
@@ -413,7 +424,7 @@ mod tests {
         q.push(t(10), 1, 1, Phase::Spawn, "b");
         q.push(t(10), 2, 2, Phase::Spawn, "c");
         q.push(t(20), 3, 3, Phase::Spawn, "d");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop_root().map(|(_, _, v)| v)).collect();
         // Time order is untouched; the t=10 tie runs last-inserted first.
         assert_eq!(order, ["c", "b", "d", "a"]);
     }
@@ -430,7 +441,7 @@ mod tests {
             q.push(t(10), 2, 2, Phase::Spawn, "spawn-c");
             q.push(t(10), 3, 3, Phase::Drain, "drain");
             q.push(t(5), 4, 4, Phase::Spawn, "earlier");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+            let order: Vec<&str> = std::iter::from_fn(|| q.pop_root().map(|(_, _, v)| v)).collect();
             assert_eq!(order[0], "earlier", "time still dominates under {policy:?}");
             assert_eq!(order[1], "drain", "drain phase must lead its instant under {policy:?}");
         }
@@ -449,7 +460,7 @@ mod tests {
             q.push(t(10), 2, 9, Phase::Spawn, "msg-b");
             let tok = q.push_cancellable(t(10), 3, 3, Phase::Carry, "arrival");
             q.push(t(10), 4, 4, Phase::Drain, "drain");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+            let order: Vec<&str> = std::iter::from_fn(|| q.pop_root().map(|(_, _, v)| v)).collect();
             assert_eq!(order[0], "drain", "drain leads under {policy:?}");
             let mut carries = order[1..3].to_vec();
             carries.sort_unstable();
@@ -472,7 +483,7 @@ mod tests {
             }
             q.push(t(1), 32, 32, Phase::Spawn, 1000);
             q.push(t(9), 33, 33, Phase::Spawn, 2000);
-            std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect()
+            std::iter::from_fn(|| q.pop_root().map(|(_, _, v)| v)).collect()
         };
         let a = run(0xfeed);
         let b = run(0xfeed);
@@ -502,7 +513,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.cancellable_len(), 0);
         assert!(!q.cancel(tok), "double cancel is a no-op");
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop_root().map(|(_, _, v)| v)).collect();
         assert_eq!(order, [0, 2]);
     }
 
@@ -510,7 +521,7 @@ mod tests {
     fn cancel_after_fire_is_noop_even_with_slot_reuse() {
         let mut q = EventQueue::new();
         let tok = q.push_cancellable(t(1), 0, 0, Phase::Carry, "x");
-        assert_eq!(q.pop().map(|(_, _, v)| v), Some("x"));
+        assert_eq!(q.pop_root().map(|(_, _, v)| v), Some("x"));
         // The slot is free again; a new registration reuses it.
         let tok2 = q.push_cancellable(t(2), 1, 1, Phase::Carry, "y");
         assert!(!q.cancel(tok), "stale token must not cancel the new entry");
@@ -530,25 +541,133 @@ mod tests {
         assert!(q.slots.len() <= 2, "cancelled slots must be reused, got {}", q.slots.len());
     }
 
-    #[test]
-    fn pop_if_inspects_the_root_without_disturbing_it() {
-        let mut q = EventQueue::new();
-        q.push(t(10), 0, 0, Phase::Spawn, "a");
-        q.push(t(20), 1, 1, Phase::Spawn, "b");
-        // Declined predicate: nothing removed, order intact.
-        assert!(q.pop_at_most_if(t(50), |_, v| *v == "z").is_none());
-        assert_eq!(q.len(), 2);
-        // Past the horizon: predicate never runs.
-        assert!(q.pop_at_most_if(t(5), |_, _| true).is_none());
-        // Accepted: pops exactly the root.
-        let (time, _, v) = q
-            .pop_at_most_if(t(50), |time, v| {
-                assert_eq!(time, t(10));
-                *v == "a"
-            })
-            .unwrap();
-        assert_eq!((time, v), (t(10), "a"));
-        assert_eq!(q.pop().map(|(_, _, v)| v), Some("b"));
+    /// Reference model for the differential test: a plain binary heap of
+    /// full keys with lazy deletion through a cancelled set.
+    #[derive(Default)]
+    struct Reference {
+        heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, Phase, u64, u64)>>,
+        cancelled: std::collections::HashSet<u64>,
+        /// Payload of each live entry, by its current seq.
+        items: std::collections::HashMap<u64, u64>,
+    }
+
+    impl Reference {
+        fn push(&mut self, key: (SimTime, Phase, u64, u64), item: u64) {
+            self.heap.push(std::cmp::Reverse(key));
+            self.items.insert(key.3, item);
+        }
+
+        fn peek(&mut self) -> Option<(SimTime, Phase, u64, u64)> {
+            while let Some(std::cmp::Reverse(key)) = self.heap.peek().copied() {
+                if !self.cancelled.remove(&key.3) {
+                    return Some(key);
+                }
+                self.heap.pop();
+            }
+            None
+        }
+
+        fn pop(&mut self) -> Option<((SimTime, Phase, u64, u64), u64)> {
+            let key = self.peek()?;
+            self.heap.pop();
+            Some((key, self.items.remove(&key.3)?))
+        }
+
+        fn cancel(&mut self, seq: u64) -> bool {
+            self.items.remove(&seq).is_some() && self.cancelled.insert(seq)
+        }
+
+        fn len(&self) -> usize {
+            self.items.len()
+        }
+    }
+
+    fn phase_of(b: u8) -> Phase {
+        match b % 3 {
+            0 => Phase::Drain,
+            1 => Phase::Carry,
+            _ => Phase::Spawn,
+        }
+    }
+
+    proptest::proptest! {
+        /// Differential test: random push / push_cancellable / cancel /
+        /// bounded pop / rekey_root scripts against the reference model,
+        /// under every tie-break policy. Times and sources come from small
+        /// ranges so equal `(time, phase)` ties are common.
+        #[test]
+        fn matches_reference_heap_under_every_policy(
+            script in proptest::prelude::prop::collection::vec(
+                (0u8..5, 0u64..40, 0u8..3, 0u64..5, 0usize..64),
+                1..300,
+            ),
+        ) {
+            for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(0x5eed)] {
+                let mut q = EventQueue::with_tie_break(policy);
+                let mut r = Reference::default();
+                // Tokens handed out so far (live, stale or cancelled), with
+                // the seq the reference knows them by.
+                let mut tokens: Vec<(CancelToken, u64)> = Vec::new();
+                let mut next_seq = 0u64;
+                for &(op, time, phase, src, pick) in &script {
+                    let (time, phase) = (t(time), phase_of(phase));
+                    match op {
+                        0 | 1 => {
+                            let seq = next_seq;
+                            next_seq += 1;
+                            let key = (time, phase, policy.ord_of(src), seq);
+                            if op == 0 {
+                                q.push(time, seq, src, phase, seq);
+                            } else {
+                                tokens.push((q.push_cancellable(time, seq, src, phase, seq), seq));
+                            }
+                            r.push(key, seq);
+                        }
+                        2 if !tokens.is_empty() => {
+                            let (tok, seq) = tokens[pick % tokens.len()];
+                            assert_eq!(q.cancel(tok), r.cancel(seq), "cancel({seq}) under {policy:?}");
+                        }
+                        3 => {
+                            // The run loop's bounded pop: peek against a
+                            // horizon, then take the root.
+                            let end = time;
+                            let want = r.peek().filter(|k| k.0 <= end);
+                            let got = q.peek_at_most(end).map(|(time, item)| (time, *item));
+                            assert_eq!(got.map(|g| g.0), want.map(|k| k.0), "peek under {policy:?}");
+                            if want.is_some() {
+                                let (key, item) = r.pop().unwrap();
+                                assert_eq!(q.pop_root(), Some((key.0, key.3, item)), "pop under {policy:?}");
+                            }
+                        }
+                        _ => {
+                            let seq = next_seq;
+                            next_seq += 1;
+                            let got = q.rekey_root(time, phase, seq);
+                            match r.pop() {
+                                None => assert!(got.is_none(), "rekey of an empty queue"),
+                                Some((old, item)) => {
+                                    r.push((time, phase, old.2, seq), item);
+                                    let tok = got.expect("rekey of a non-empty queue");
+                                    // The old token stays in play as a stale
+                                    // one; a cancellable root's new token is
+                                    // live under the new seq.
+                                    if tokens.iter().any(|e| e.1 == old.3) {
+                                        tokens.push((tok, seq));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    assert_eq!(q.len(), r.len(), "len under {policy:?}");
+                }
+                // Drain both: the survivors leave in the same order.
+                while let Some((key, item)) = r.pop() {
+                    assert_eq!(q.pop_root(), Some((key.0, key.3, item)), "drain under {policy:?}");
+                }
+                assert!(q.is_empty());
+                assert_eq!(q.cancellable_len(), 0);
+            }
+        }
     }
 
     #[test]
@@ -585,7 +704,7 @@ mod tests {
         }
         model.sort();
         let popped: Vec<(SimTime, u64)> =
-            std::iter::from_fn(|| q.pop().map(|(time, seq, _)| (time, seq))).collect();
+            std::iter::from_fn(|| q.pop_root().map(|(time, seq, _)| (time, seq))).collect();
         assert_eq!(popped, model);
     }
 }
