@@ -22,7 +22,7 @@ use marnet_telemetry::recorder::TraceSink;
 /// Criterion batch, long enough to dwarf scenario setup.
 const SIM_SECS: u64 = 5;
 
-/// Events one `run_recovery` iteration processes, measured once so the
+/// Events one `run_recovery_counted` iteration processes, measured once so the
 /// throughput annotation reflects events rather than iterations.
 fn events_per_iter(mechanism: RecoveryMechanism) -> u64 {
     run_recovery_counted(40, 0.05, mechanism, SIM_SECS, 11).1
@@ -126,9 +126,8 @@ fn bench_fec_parity_throughput(c: &mut Criterion) {
 }
 
 /// The recorder's per-event cost in each [`TraceSink`] mode: `off` is the
-/// one-load-one-branch floor every untraced run pays, `ring` the plain
-/// ring-buffer reference path, `chunked` the double-buffered sink the
-/// engine enables for live tracing. Capacity exceeds the batch so the
+/// one-load-one-branch floor every untraced run pays, `chunked` the
+/// double-buffered sink the engine enables for live tracing. Capacity exceeds the batch so the
 /// bench measures recording, not wrap-around rotation.
 fn bench_recorder_record_hot(c: &mut Criterion) {
     const BATCH: u64 = 4_096;
@@ -138,7 +137,6 @@ fn bench_recorder_record_hot(c: &mut Criterion) {
     g.throughput(Throughput::Elements(BATCH));
     for (label, make) in [
         ("off", TraceSink::default as fn() -> TraceSink),
-        ("ring", || TraceSink::ring(CAPACITY)),
         ("chunked", || TraceSink::chunked(CAPACITY)),
     ] {
         g.bench_function(label, |b| {

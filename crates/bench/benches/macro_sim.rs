@@ -3,13 +3,14 @@
 //! the costs that bound how much experiment a CPU-second buys.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use marnet_bench::scenarios::{run_fairness, run_table2, Table2Scenario};
+use marnet_bench::scenarios::{fairness_config, run_fairness, run_table2, Table2Scenario};
 use marnet_edge::placement::synthetic_metro;
 use marnet_sim::engine::{Actor, Event, SimCtx, Simulator};
 use marnet_sim::link::{Bandwidth, LinkParams};
 use marnet_sim::packet::Packet;
 use marnet_sim::rng::derive_rng;
 use marnet_sim::time::{SimDuration, SimTime};
+use marnet_telemetry::TelemetryOptions;
 use marnet_transport::nic::TxPath;
 use marnet_transport::tcp::{DataSource, Reno, TcpConfig, TcpReceiver, TcpSender};
 
@@ -91,7 +92,8 @@ fn bench_table2(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario");
     g.sample_size(20);
     g.bench_function("table2_cloud_wifi_50_probes", |b| {
-        b.iter(|| black_box(run_table2(Table2Scenario::CloudServerWifi, 50, 400, 400, 1)))
+        let off = TelemetryOptions::disabled();
+        b.iter(|| black_box(run_table2(Table2Scenario::CloudServerWifi, 50, 400, 400, 1, &off)))
     });
     g.finish();
 }
@@ -101,7 +103,9 @@ fn bench_ar_second(c: &mut Criterion) {
     let mut g = c.benchmark_group("protocol");
     g.sample_size(10);
     g.bench_function("ar_vs_tcp_5s", |b| {
-        b.iter(|| black_box(run_fairness(10.0, 1, true, SimDuration::from_millis(15), 5, 3)))
+        let cfg = fairness_config(10.0, true, SimDuration::from_millis(15));
+        let off = TelemetryOptions::disabled();
+        b.iter(|| black_box(run_fairness(10.0, 1, &cfg, 5, 3, &off)))
     });
     g.finish();
 }

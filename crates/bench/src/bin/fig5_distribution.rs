@@ -23,7 +23,7 @@ struct Row {
 fn main() {
     let mut rows = Vec::new();
     for scenario in DistributionScenario::ALL {
-        let mut out = run_scenario(scenario, 42, 30);
+        let mut out = run_scenario(scenario, 42, 30, None);
         let s = out.sender.borrow();
         let cellular = s.cellular_bytes as f64 / 1e6;
         drop(s);
@@ -60,7 +60,7 @@ fn main() {
 
     // §VI-E: per-path servers vs one shared server, priced with a sync
     // round (using the 5a scenario's options).
-    let out = run_scenario(DistributionScenario::MultipathMultiServer, 42, 5);
+    let out = run_scenario(DistributionScenario::MultipathMultiServer, 42, 5, None);
     let matrix = InterServerMatrix::new(
         vec!["university".into(), "cloud".into()],
         vec![

@@ -42,8 +42,8 @@ use std::time::Instant;
 
 use marnet_bench::scenarios::{
     run_cityscale_counted, run_cityscale_instrumented, run_queueing_counted,
-    run_queueing_instrumented, run_recovery_counted, run_recovery_instrumented, run_table2_counted,
-    run_table2_instrumented, RecoveryMechanism, Table2Scenario,
+    run_queueing_instrumented, run_recovery_counted, run_recovery_instrumented, run_table2,
+    RecoveryMechanism, Table2Scenario,
 };
 use marnet_sim::queue::QueueConfig;
 use marnet_telemetry::{TelemetryOptions, DEFAULT_TRACE_CAPACITY};
@@ -350,10 +350,11 @@ fn workloads(smoke: bool) -> Vec<Workload> {
     let cell_secs: u64 = if smoke { 2 } else { 10 };
     let (flow_clients, flow_secs): (u64, u64) = if smoke { (20_000, 2) } else { (100_000, 10) };
 
-    let recovery = |mechanism: RecoveryMechanism| Workload {
+    let recovery = |mechanism: RecoveryMechanism| {
+        Workload {
         label: mechanism.label(),
         scenario: format!(
-            "run_recovery(rtt=40ms, loss=5%, {mechanism:?}, {recovery_secs} virtual sec, seed 11)"
+            "run_recovery_counted(rtt=40ms, loss=5%, {mechanism:?}, {recovery_secs} virtual sec, seed 11)"
         ),
         warm: Box::new(move || {
             run_recovery_counted(40, 0.05, mechanism, recovery_secs.min(3), 11);
@@ -366,6 +367,7 @@ fn workloads(smoke: bool) -> Vec<Workload> {
             assert!(!capture.events.is_empty(), "recorder must capture events");
             ev
         }),
+    }
     };
 
     // The dense cell: 900 MAR streams plus 100 bulk uploads through one
@@ -381,16 +383,16 @@ fn workloads(smoke: bool) -> Vec<Workload> {
                 "run_table2(CloudServerWifi, probes={probes}, 400 B up/down, seed 42)"
             ),
             warm: Box::new(move || {
-                run_table2_counted(Table2Scenario::CloudServerWifi, probes.min(40), 400, 400, 42);
+                run_table2(Table2Scenario::CloudServerWifi, probes.min(40), 400, 400, 42, &TelemetryOptions::disabled());
             }),
             run: Box::new(move || {
-                run_table2_counted(Table2Scenario::CloudServerWifi, probes, 400, 400, 42).1
+                run_table2(Table2Scenario::CloudServerWifi, probes, 400, 400, 42, &TelemetryOptions::disabled()).1
             }),
             tax_off: Box::new(move || {
-                run_table2_counted(Table2Scenario::CloudServerWifi, tax_probes, 400, 400, 42).1
+                run_table2(Table2Scenario::CloudServerWifi, tax_probes, 400, 400, 42, &TelemetryOptions::disabled()).1
             }),
             tax_on: Box::new(move || {
-                let (_, ev, capture) = run_table2_instrumented(
+                let (_, ev, capture) = run_table2(
                     Table2Scenario::CloudServerWifi,
                     tax_probes,
                     400,
@@ -405,7 +407,7 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         Workload {
             label: "cell-1k",
             scenario: format!(
-                "run_queueing(2 Gb/s uplink, drop-tail 1000, 900 MAR + 100 bulk flows, \
+                "run_queueing_counted(2 Gb/s uplink, drop-tail 1000, 900 MAR + 100 bulk flows, \
                  {cell_secs} virtual sec, seed 7)"
             ),
             warm: Box::new({
@@ -440,7 +442,7 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         Workload {
             label: "cityscale-hybrid",
             scenario: format!(
-                "run_cityscale(clients={flow_clients}, backhaul=10 Gb/s, {flow_secs} virtual \
+                "run_cityscale_counted(clients={flow_clients}, backhaul=10 Gb/s, {flow_secs} virtual \
                  sec, seed 42)"
             ),
             warm: Box::new(move || {

@@ -5,10 +5,11 @@
 //! TCP — the Vegas problem the paper cites; loosening it (towards
 //! loss-only) buys fairness at the cost of queueing delay.
 
-use marnet_bench::scenarios::run_fairness;
+use marnet_bench::scenarios::{fairness_config, run_fairness};
 use marnet_bench::{fmt, print_table, write_json};
 use marnet_sim::stats::jain_index;
 use marnet_sim::time::SimDuration;
+use marnet_telemetry::TelemetryOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,7 +38,9 @@ fn main() {
     let mut rows = Vec::new();
     for (label, react_to_loss, threshold) in modes {
         for n_tcp in [1usize, 2, 4] {
-            let out = run_fairness(bottleneck, n_tcp, react_to_loss, threshold, secs, 23);
+            let cfg = fairness_config(bottleneck, react_to_loss, threshold);
+            let (out, _, _) =
+                run_fairness(bottleneck, n_tcp, &cfg, secs, 23, &TelemetryOptions::disabled());
             let ar_mbps = out.ar.borrow().received_bytes as f64 * 8.0 / secs as f64 / 1e6;
             let tcp_each: Vec<f64> = out
                 .tcp

@@ -6,7 +6,9 @@
 use marnet_bench::scenarios::run_multipath_commute;
 use marnet_bench::{fmt, print_table, write_json};
 use marnet_core::class::StreamKind;
+use marnet_core::config::ArConfig;
 use marnet_core::multipath::MultipathPolicy;
+use marnet_telemetry::TelemetryOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,7 +31,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, policy) in policies {
-        let out = run_multipath_commute(policy, secs, 42);
+        let cfg = ArConfig { policy, ..ArConfig::default() };
+        let (out, _, _) = run_multipath_commute(&cfg, secs, 42, &TelemetryOptions::disabled());
         let r = out.receiver.borrow();
         let s = out.sender.borrow();
         let video = r.by_kind.get(&StreamKind::VideoInter);

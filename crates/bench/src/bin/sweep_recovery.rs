@@ -3,7 +3,8 @@
 //! 75 ms budget. Includes the paper's analytic 37.5 ms rule and the
 //! FEC overhead/residual-loss frontier.
 //!
-//! The topology lives in [`marnet_bench::scenarios::run_recovery`] so the
+//! The topology lives in
+//! [`marnet_bench::scenarios::run_recovery_config_instrumented`] so the
 //! `marnet-lab` replicated version of this sweep runs the same code; this
 //! binary is the single-seed quick look.
 

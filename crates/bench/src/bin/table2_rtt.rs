@@ -8,7 +8,7 @@
 //! writes a per-scenario metrics artifact, `--threads <n>` runs the four
 //! scenarios on up to `n` worker threads.
 
-use marnet_bench::scenarios::{run_table2_instrumented, Table2Scenario};
+use marnet_bench::scenarios::{run_table2, Table2Scenario};
 use marnet_bench::{fmt, parse_telemetry_flags, print_table, write_json, write_trace};
 use marnet_telemetry::{MetricsSnapshot, TelemetryCapture};
 use serde::Serialize;
@@ -37,8 +37,7 @@ fn run_one(
     flags: &marnet_bench::TelemetryFlags,
 ) -> (Row, TelemetryCapture) {
     let (platform, connection, paper_ms) = scenario.labels();
-    let (stats, _events, capture) =
-        run_table2_instrumented(scenario, 200, 400, 400, 42, &flags.options);
+    let (stats, _events, capture) = run_table2(scenario, 200, 400, 400, 42, &flags.options);
     let st = stats.borrow();
     let mut h = st.rtt_ms.clone();
     let median = h.median().unwrap_or(f64::NAN);

@@ -34,24 +34,31 @@ pub struct TelemetryFlags {
 /// Parses [`TelemetryFlags`] from `std::env::args`, ignoring flags it does
 /// not know (binaries with extra flags parse those separately).
 ///
-/// # Panics
-///
-/// Panics on a `--trace` or `--threads` flag with a missing or (for
-/// `--threads`) non-numeric value — experiment binaries fail loudly.
+/// A `--trace` or `--threads` flag with a missing or (for `--threads`)
+/// non-numeric value prints the problem and the usage line to stderr and
+/// exits with status 2, the workspace's usage-error convention.
 pub fn parse_telemetry_flags() -> TelemetryFlags {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let usage_error = |msg: &str| -> ! {
+        eprintln!("error: {msg}\nusage: {bin} [--trace <path>] [--metrics] [--threads <n>]");
+        std::process::exit(2)
+    };
     let mut flags = TelemetryFlags { threads: 1, ..TelemetryFlags::default() };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trace" => {
-                let path = args.next().expect("--trace requires a file path");
+                let path =
+                    args.next().unwrap_or_else(|| usage_error("--trace requires a file path"));
                 flags.trace_path = Some(PathBuf::from(path));
                 flags.options.trace_capacity = Some(DEFAULT_TRACE_CAPACITY);
             }
             "--metrics" => flags.options.metrics = true,
             "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                flags.threads = n.parse().expect("--threads value must be a number");
+                let n = args.next().unwrap_or_else(|| usage_error("--threads requires a count"));
+                flags.threads = n.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--threads value must be a number, got {n:?}"))
+                });
             }
             _ => {}
         }

@@ -218,12 +218,9 @@ impl ScenarioOutcome {
 }
 
 /// Builds and runs one Fig. 5 scenario for `secs` simulated seconds.
-pub fn run_scenario(scenario: DistributionScenario, seed: u64, secs: u64) -> ScenarioOutcome {
-    run_scenario_inner(scenario, seed, secs, None)
-}
-
-/// Like [`run_scenario`], but additionally publishes per-executor load and
-/// D2D offload metrics into `registry`:
+///
+/// With a `registry` the run also publishes per-executor load and D2D
+/// offload metrics into it:
 ///
 /// * `edge.server.{name}.delivered_bytes` / `.fec_recovered` /
 ///   `.feedback_sent` — receiver-side counters per executor;
@@ -232,16 +229,7 @@ pub fn run_scenario(scenario: DistributionScenario, seed: u64, secs: u64) -> Sce
 ///   helpers (one-hop direct links);
 /// * `edge.class.{kind}.*` — the sender's per-class usage counters;
 /// * `edge.sender.cellular_bytes` — bytes steered onto cellular paths.
-pub fn run_scenario_metrics(
-    scenario: DistributionScenario,
-    seed: u64,
-    secs: u64,
-    registry: &MetricsRegistry,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, seed, secs, Some(registry))
-}
-
-fn run_scenario_inner(
+pub fn run_scenario(
     scenario: DistributionScenario,
     seed: u64,
     secs: u64,
@@ -354,7 +342,7 @@ mod tests {
     #[test]
     fn all_scenarios_deliver_frames() {
         for scenario in DistributionScenario::ALL {
-            let out = run_scenario(scenario, 5, 6);
+            let out = run_scenario(scenario, 5, 6, None);
             assert!(
                 out.loop_latency_ms.count() > 50,
                 "{scenario}: only {} loops",
@@ -368,8 +356,8 @@ mod tests {
     fn nearby_executors_cut_critical_latency() {
         // 5b (2 ms home PC) must beat 5a (5 ms university) on metadata
         // latency, and both must beat any cloud-only alternative (~60 ms).
-        let mut a = run_scenario(DistributionScenario::MultipathMultiServer, 7, 6);
-        let mut b = run_scenario(DistributionScenario::HomeWifiD2d, 7, 6);
+        let mut a = run_scenario(DistributionScenario::MultipathMultiServer, 7, 6, None);
+        let mut b = run_scenario(DistributionScenario::HomeWifiD2d, 7, 6, None);
         let ma = a.critical_latency_ms.median().unwrap();
         let mb = b.critical_latency_ms.median().unwrap();
         assert!(mb < ma, "home D2D {mb} ms vs university {ma} ms");
@@ -378,7 +366,7 @@ mod tests {
 
     #[test]
     fn multipath_keeps_latency_data_off_lte() {
-        let out = run_scenario(DistributionScenario::MultipathMultiServer, 9, 6);
+        let out = run_scenario(DistributionScenario::MultipathMultiServer, 9, 6, None);
         let s = out.sender.borrow();
         let total: u64 = s.total_sent_bytes();
         assert!(total > 0);
@@ -395,15 +383,15 @@ mod tests {
     fn weak_helper_still_serves_critical_data_fast() {
         // 5c/5d: the phone helper has little compute, but the latency-
         // critical class still sees single-digit transport latency.
-        let mut out = run_scenario(DistributionScenario::WifiDirectD2d, 11, 6);
+        let mut out = run_scenario(DistributionScenario::WifiDirectD2d, 11, 6, None);
         let crit = out.critical_latency_ms.median().unwrap();
         assert!(crit < 20.0, "critical median {crit} ms");
     }
 
     #[test]
-    fn metrics_variant_publishes_server_load() {
+    fn registry_receives_server_load() {
         let reg = MetricsRegistry::new();
-        let out = run_scenario_metrics(DistributionScenario::HomeWifiD2d, 5, 6, &reg);
+        let out = run_scenario(DistributionScenario::HomeWifiD2d, 5, 6, Some(&reg));
         let snap = reg.snapshot();
         let pc = snap.counters.get("edge.server.home-pc.delivered_bytes").copied().unwrap_or(0);
         assert!(pc > 0, "home PC saw no traffic");

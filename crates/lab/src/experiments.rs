@@ -10,9 +10,8 @@ use marnet_app::compute::{ComputeModel, DbAccess, FrameWork, NetParams};
 use marnet_app::device::DeviceClass;
 use marnet_app::strategy::OffloadStrategy;
 use marnet_bench::scenarios::{
-    cityscale_offered_gbps, run_cityscale_instrumented, run_faults_instrumented,
-    run_recovery_instrumented, run_table2_instrumented, FaultScenario, RecoveryMechanism,
-    Table2Scenario,
+    cityscale_offered_gbps, faults_config, run_cityscale_instrumented, run_faults,
+    run_recovery_instrumented, run_table2, FaultScenario, RecoveryMechanism, Table2Scenario,
 };
 use marnet_bench::{fmt, print_table};
 use marnet_sim::link::Bandwidth;
@@ -109,7 +108,7 @@ fn table2_rtt(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Experi
         let request = point.param("request_bytes").as_int().expect("int") as u32;
         let response = point.param("response_bytes").as_int().expect("int") as u32;
         let (stats, _events, capture) =
-            run_table2_instrumented(scenario, probes, request, response, ctx.seed, &telemetry);
+            run_table2(scenario, probes, request, response, ctx.seed, &telemetry);
         let st = stats.borrow();
         let mut h = st.rtt_ms.clone();
         let median = h.median().unwrap_or(f64::NAN);
@@ -252,11 +251,10 @@ fn sweep_faults(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Expe
     let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
         let scenario = FaultScenario::from_label(point.param("scenario").as_str().expect("str"))
             .expect("known fault scenario");
-        let hardened = point.param("stack").as_str() == Some("hardened");
+        let cfg = faults_config(point.param("stack").as_str() == Some("hardened"));
         let fault_ms = point.param("fault_ms").as_int().expect("int") as u64;
         let secs = point.param("secs").as_int().expect("int") as u64;
-        let (out, _, capture) =
-            run_faults_instrumented(scenario, hardened, fault_ms, secs, ctx.seed, &telemetry);
+        let (out, _, capture) = run_faults(scenario, &cfg, fault_ms, secs, ctx.seed, &telemetry);
         // Censor non-recoveries at the horizon: a run whose QoE never came
         // back contributes the worst possible recovery time instead of
         // silently dropping out of the percentiles.

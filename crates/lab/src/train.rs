@@ -31,9 +31,9 @@
 use crate::runner::run_experiment;
 use crate::spec::{ParamValue, ScenarioSpec};
 use marnet_bench::scenarios::{
-    run_cityscale_instrumented, run_fairness_config_instrumented, run_faults_config_instrumented,
-    run_multipath_commute_config_instrumented, run_recovery_config_instrumented, FaultScenario,
-    CITYSCALE_MAR_MBPS, CITYSCALE_MAR_PACKET_BYTES,
+    run_cityscale_instrumented, run_fairness, run_faults, run_multipath_commute,
+    run_recovery_config_instrumented, FaultScenario, CITYSCALE_MAR_MBPS,
+    CITYSCALE_MAR_PACKET_BYTES,
 };
 use marnet_bench::{fmt, print_table};
 use marnet_core::config::{ArConfig, OutageConfig};
@@ -264,8 +264,7 @@ pub(crate) fn run_member(
             capture.events
         }
         "offload" => {
-            let (out, _, capture) =
-                run_multipath_commute_config_instrumented(&cfgs.0, secs, seed, telemetry);
+            let (out, _, capture) = run_multipath_commute(&cfgs.0, secs, seed, telemetry);
             let hit_pct = out.receiver.borrow().deadline_hit_ratio() * 100.0;
             let s = out.sender.borrow();
             let total = s.total_sent_bytes();
@@ -276,26 +275,14 @@ pub(crate) fn run_member(
             capture.events
         }
         "faults" => {
-            let (out, _, capture) = run_faults_config_instrumented(
-                FaultScenario::LinkOutage,
-                &cfgs.1,
-                FAULT_MS,
-                secs,
-                seed,
-                telemetry,
-            );
+            let (out, _, capture) =
+                run_faults(FaultScenario::LinkOutage, &cfgs.1, FAULT_MS, secs, seed, telemetry);
             scalars.insert("qoe".to_string(), out.qoe_under_fault_pct);
             capture.events
         }
         "fairness" => {
-            let (out, _, capture) = run_fairness_config_instrumented(
-                FAIR_BOTTLENECK_MBPS,
-                FAIR_N_TCP,
-                &cfgs.2,
-                secs,
-                seed,
-                telemetry,
-            );
+            let (out, _, capture) =
+                run_fairness(FAIR_BOTTLENECK_MBPS, FAIR_N_TCP, &cfgs.2, secs, seed, telemetry);
             let secs = secs as f64;
             let ar_mbps = out.ar.borrow().received_bytes as f64 * 8.0 / secs / 1e6;
             let mut alloc: Vec<f64> = out

@@ -11,10 +11,9 @@
 //!   fixed-capacity ring buffer of compact 32-byte binary [`TraceEvent`]s
 //!   (packet enqueue/drop/dequeue, link busy/idle, class admit/degrade, FEC
 //!   repair, path switch, offload dispatch) stamped with sim time and a
-//!   component id. The [`Recorder`] trait's disabled implementation
-//!   ([`NullRecorder`]) is a monomorphized no-op; the engine-facing
-//!   [`TraceSink`] compiles the disabled case down to one predictable
-//!   branch per hook.
+//!   component id. The engine-facing [`TraceSink`] compiles the disabled
+//!   case down to one predictable branch per hook and records through a
+//!   chunk-flushed ring ([`ChunkedRecorder`]) when enabled.
 //! * **Metrics registry** ([`MetricsRegistry`]) — named counters, gauges
 //!   and sim-time-bucketed histograms with cheap `Cell`-based handles,
 //!   snapshot into a serializable [`MetricsSnapshot`] that `marnet-lab`
@@ -42,7 +41,7 @@ pub mod usage;
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{component, DropReason, TraceEvent, TraceKind};
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TimeBucket, TimeHistogram};
-pub use recorder::{ChunkedRecorder, FlightRecorder, NullRecorder, Recorder, TraceSink};
+pub use recorder::{ChunkedRecorder, FlightRecorder, TraceSink};
 pub use usage::ClassUsage;
 
 /// Default flight-recorder ring capacity used by CLI `--trace` flags:

@@ -1,43 +1,11 @@
 //! Recorders: where trace events go.
 //!
-//! The [`Recorder`] trait is the generic interface — code that is generic
-//! over `R: Recorder` monomorphizes [`NullRecorder`] into literally nothing
-//! (its `record` is an empty inline function). Object-safe callers that
-//! cannot be generic (the simulator engine stores `Box<dyn Actor>`s and
-//! cannot grow a type parameter) use [`TraceSink`], a two-state enum whose
-//! disabled arm costs one predictable branch per hook.
+//! The simulator engine holds a [`TraceSink`], a two-state enum whose
+//! disabled arm costs one predictable branch per hook and whose enabled
+//! arm records through a [`ChunkedRecorder`]: a small cache-hot chunk
+//! flushed in batches into a [`FlightRecorder`] ring.
 
 use crate::event::TraceEvent;
-
-/// A sink for trace events.
-pub trait Recorder {
-    /// Records one event.
-    fn record(&mut self, ev: TraceEvent);
-
-    /// `false` if recording is a no-op — callers may skip building events.
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The disabled recorder: a zero-sized, monomorphized no-op.
-///
-/// Generic code instantiated with `NullRecorder` compiles to exactly the
-/// uninstrumented code — the `engine_events_per_sec` benchmark is the
-/// regression gate for this property.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn record(&mut self, _ev: TraceEvent) {}
-
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
 
 /// A fixed-capacity ring buffer of trace events: the flight recorder.
 ///
@@ -113,9 +81,24 @@ impl FlightRecorder {
         out
     }
 
+    /// Records one event, overwriting the oldest once the ring is full.
+    #[inline]
+    pub fn record(&mut self, ev: TraceEvent) {
+        self.total += 1;
+        if self.buf.len() < self.cap {
+            self.buf.push(ev);
+        } else {
+            self.buf[self.next] = ev;
+        }
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
+        }
+    }
+
     /// Records a batch of events with bulk slice copies. The resulting
     /// recorder state (`buf`, `next`, `total`) is *identical* to calling
-    /// [`Recorder::record`] once per event — the batch-equivalence unit
+    /// [`FlightRecorder::record`] once per event — the batch-equivalence unit
     /// test pins this — so chunked recording cannot change artifacts.
     pub fn record_batch(&mut self, events: &[TraceEvent]) {
         self.total += events.len() as u64;
@@ -142,22 +125,6 @@ impl FlightRecorder {
         self.buf[start..start + first].copy_from_slice(&src[..first]);
         self.buf[..src.len() - first].copy_from_slice(&src[first..]);
         self.next = (start + src.len()) % self.cap;
-    }
-}
-
-impl Recorder for FlightRecorder {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-        }
-        self.next += 1;
-        if self.next == self.cap {
-            self.next = 0;
-        }
     }
 }
 
@@ -197,6 +164,18 @@ impl ChunkedRecorder {
         self.ring.total_recorded() + self.chunk.len() as u64
     }
 
+    /// Records one event: a bump write into the active chunk, which is
+    /// flushed into the ring when full.
+    #[inline]
+    pub fn record(&mut self, ev: TraceEvent) {
+        // The chunk was created with its full capacity, so the push below
+        // never reallocates: `record` is a bounds check and a bump write.
+        if self.chunk.len() == self.chunk.capacity() {
+            self.flush();
+        }
+        self.chunk.push(ev);
+    }
+
     /// Flushes the active chunk into the backing ring.
     pub fn flush(&mut self) {
         self.ring.record_batch(&self.chunk);
@@ -217,24 +196,9 @@ impl ChunkedRecorder {
     }
 }
 
-impl Recorder for ChunkedRecorder {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        // The chunk was created with its full capacity, so the push below
-        // never reallocates: `record` is a bounds check and a bump write.
-        if self.chunk.len() == self.chunk.capacity() {
-            self.flush();
-        }
-        self.chunk.push(ev);
-    }
-}
-
-/// The engine-facing sink: off, or recording into a [`FlightRecorder`]
-/// (plain ring) or [`ChunkedRecorder`] (chunk-flushed ring, the default
-/// for live tracing).
+/// The engine-facing sink: off, or recording through a [`ChunkedRecorder`].
 ///
-/// The simulator cannot be generic over a `Recorder` (its actors are trait
-/// objects), so it holds this enum instead. Every hook goes through
+/// Every hook goes through
 /// [`TraceSink::emit_with`], which takes a closure so the disabled case
 /// skips event construction entirely — the cost is one load and one
 /// predictable branch.
@@ -243,19 +207,11 @@ pub enum TraceSink {
     /// Recording disabled (the default).
     #[default]
     Off,
-    /// Recording straight into a ring buffer (kept as the un-chunked
-    /// reference path; see the `recorder_record_hot` benchmark).
-    Ring(FlightRecorder),
     /// Recording through a chunk-flushed ring.
     Chunked(ChunkedRecorder),
 }
 
 impl TraceSink {
-    /// A sink recording into a fresh plain ring of `capacity` events.
-    pub fn ring(capacity: usize) -> Self {
-        TraceSink::Ring(FlightRecorder::new(capacity))
-    }
-
     /// A sink recording through a fresh chunk-flushed ring of `capacity`
     /// events — what the engine enables for live tracing.
     pub fn chunked(capacity: usize) -> Self {
@@ -273,7 +229,6 @@ impl TraceSink {
     pub fn emit_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         match self {
             TraceSink::Off => {}
-            TraceSink::Ring(r) => r.record(f()),
             TraceSink::Chunked(r) => r.record(f()),
         }
     }
@@ -283,11 +238,6 @@ impl TraceSink {
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         match self {
             TraceSink::Off => Vec::new(),
-            TraceSink::Ring(r) => {
-                let events = r.take_events();
-                *r = FlightRecorder::new(r.capacity());
-                events
-            }
             TraceSink::Chunked(r) => {
                 let events = r.take_events();
                 *r = ChunkedRecorder::new(r.capacity());
@@ -306,20 +256,10 @@ mod tests {
         TraceEvent::packet_deliver(i, component::link(0), i, 0, 100)
     }
 
-    /// A generic driver, as instrumented library code would be written.
-    fn drive<R: Recorder>(r: &mut R, n: u64) {
+    fn drive(r: &mut FlightRecorder, n: u64) {
         for i in 0..n {
-            if r.is_enabled() {
-                r.record(ev(i));
-            }
+            r.record(ev(i));
         }
-    }
-
-    #[test]
-    fn null_recorder_is_disabled_noop() {
-        let mut r = NullRecorder;
-        drive(&mut r, 10); // compiles to nothing; just must not panic
-        assert!(!r.is_enabled());
     }
 
     #[test]
@@ -401,17 +341,20 @@ mod tests {
     }
 
     #[test]
-    fn chunked_sink_take_matches_ring_sink() {
-        let mut a = TraceSink::chunked(16);
-        let mut b = TraceSink::ring(16);
-        assert!(a.is_enabled());
+    fn chunked_sink_take_matches_plain_ring() {
+        let mut sink = TraceSink::chunked(16);
+        let mut plain = FlightRecorder::new(16);
+        assert!(sink.is_enabled());
         for i in 0..100 {
-            a.emit_with(|| ev(i));
-            b.emit_with(|| ev(i));
+            sink.emit_with(|| ev(i));
+            plain.record(ev(i));
         }
-        assert_eq!(a.take_events(), b.take_events());
-        assert!(a.take_events().is_empty(), "take resets the chunked sink");
-        assert!(a.is_enabled(), "sink stays enabled after take");
+        assert_eq!(sink.take_events(), plain.events());
+        assert!(sink.take_events().is_empty(), "take resets the chunked sink");
+        assert!(sink.is_enabled(), "sink stays enabled after take");
+        sink.emit_with(|| ev(1));
+        sink.emit_with(|| ev(2));
+        assert_eq!(sink.take_events().len(), 2, "the reset sink records again");
     }
 
     #[test]
@@ -425,17 +368,5 @@ mod tests {
         assert_eq!(built, 0, "disabled sink must not build events");
         assert!(s.take_events().is_empty());
         assert!(!s.is_enabled());
-    }
-
-    #[test]
-    fn sink_ring_records_and_resets_on_take() {
-        let mut s = TraceSink::ring(8);
-        assert!(s.is_enabled());
-        s.emit_with(|| ev(1));
-        s.emit_with(|| ev(2));
-        let events = s.take_events();
-        assert_eq!(events.len(), 2);
-        assert!(s.take_events().is_empty(), "take resets the ring");
-        assert!(s.is_enabled(), "sink stays enabled after take");
     }
 }

@@ -8,8 +8,10 @@
 //! Run with: `cargo run --example multipath_commute`
 
 use marnet::arcore::class::StreamKind;
+use marnet::arcore::config::ArConfig;
 use marnet::arcore::multipath::MultipathPolicy;
 use marnet_bench::scenarios::run_multipath_commute;
+use marnet_telemetry::TelemetryOptions;
 
 fn main() {
     let secs = 180;
@@ -20,7 +22,9 @@ fn main() {
         ("2: WiFi preferred, 4G when WiFi is out", MultipathPolicy::WifiPreferred),
         ("3: WiFi and 4G simultaneously", MultipathPolicy::Aggregate),
     ] {
-        let out = run_multipath_commute(policy, secs, 7);
+        // The policy is one field of the AR stack's configuration.
+        let cfg = ArConfig { policy, ..ArConfig::default() };
+        let (out, _, _) = run_multipath_commute(&cfg, secs, 7, &TelemetryOptions::disabled());
         let r = out.receiver.borrow();
         let s = out.sender.borrow();
         let video = r.by_kind.get(&StreamKind::VideoInter);
